@@ -1,17 +1,16 @@
 """Benchmark: batched query engine — parallel throughput and parity.
 
-Answers a quick-scale RBReach batch through every executor and asserts:
+Answers a quick-scale RBReach batch through both executors and asserts:
 
-* **parity, always**: the thread-, process- and daemon-pool executors
-  return answers bit-identical to the serial path, for several worker
-  counts;
-* **throughput, on capable machines**: with >= 4 workers the process pool
-  must reach >= 2x the serial batch throughput, and the warm daemon pool
-  (persistent workers attached to the shared-memory state, no per-batch
-  fork) >= 1.5x.  The assertions need >= 4 schedulable cores — a 1- or
-  2-core runner physically cannot exhibit the speedup, so the throughput
-  checks (and only they) are skipped there with an explicit reason.  CI
-  runs them on multi-core runners; the parity checks run everywhere.
+* **parity, always**: the daemon-pool executor returns answers
+  bit-identical to the serial path, for several worker counts;
+* **throughput, on capable machines**: with >= 4 workers the warm daemon
+  pool (persistent workers attached to the shared-memory state, no
+  per-batch fork) must reach >= 1.5x the serial batch throughput.  The
+  assertion needs >= 4 schedulable cores — a 1- or 2-core runner
+  physically cannot exhibit the speedup, so the throughput check (and only
+  it) is skipped there with an explicit reason.  CI runs it on multi-core
+  runners; the parity checks run everywhere.
 
 A second measurement reports the LRU cache: answering the same batch twice
 must serve the repeat entirely from cache.  Results are appended to
@@ -28,7 +27,6 @@ import pytest
 
 from conftest import BENCH_SEED, REPORT_DIR
 
-MIN_PARALLEL_SPEEDUP = 2.0
 MIN_DAEMON_SPEEDUP = 1.5
 MIN_WORKERS = 4
 ALPHA = 0.1
@@ -76,47 +74,42 @@ def engine_and_queries():
 
 
 def test_executor_parity(engine_and_queries):
-    """Thread, process and daemon pools must match the serial path bit-for-bit."""
+    """The daemon pool must match the serial path bit-for-bit."""
     engine, queries = engine_and_queries
     batch = queries[:PARITY_QUERIES]
     serial = _signatures(engine.answer_batch(batch, ALPHA))
-    for executor in ("thread", "process", "daemon"):
-        for workers in (1, 2, MIN_WORKERS):
-            answers = engine.answer_batch(batch, ALPHA, executor=executor, workers=workers)
-            assert _signatures(answers) == serial, (
-                f"{executor} executor with {workers} workers diverged from serial"
-            )
-    _report(
-        [f"parity: serial == thread == process == daemon on {len(batch)} queries (1/2/4 workers)"]
-    )
+    for workers in (1, 2, MIN_WORKERS):
+        answers = engine.answer_batch(batch, ALPHA, executor="daemon", workers=workers)
+        assert _signatures(answers) == serial, (
+            f"daemon executor with {workers} workers diverged from serial"
+        )
+        # The pool fixes its size on first use: close it so the next worker
+        # count (and the throughput test) gets a pool of the size it asks for.
+        engine.close()
+    _report([f"parity: serial == daemon on {len(batch)} queries (1/2/4 workers)"])
 
 
 def test_parallel_throughput(engine_and_queries):
-    """>= 2x batch throughput with >= 4 workers (needs >= 4 cores to show)."""
+    """>= 1.5x batch throughput with >= 4 warm workers (needs >= 4 cores to show)."""
     engine, queries = engine_and_queries
     cores = _cores()
 
     # Best of two rounds per executor: shared CI runners are noisy, and the
     # floor below is asserted, so a single unlucky scheduling slice must not
     # fail the build (same damping as bench_backend_csr._timed).
-    speedup = daemon_speedup = 0.0
-    serial_report = process_report = daemon_report = None
+    daemon_speedup = 0.0
+    serial_report = daemon_report = None
     # Warm the daemon pool outside the timed rounds: the first daemon batch
     # pays the one-off spawn + shared-state publication, every later batch
     # reuses the attached workers — the steady state being measured.
     engine.run_batch(queries[:PARITY_QUERIES], ALPHA, executor="daemon", workers=MIN_WORKERS)
     for _ in range(2):
         serial_report = engine.run_batch(queries, ALPHA)
-        process_report = engine.run_batch(
-            queries, ALPHA, executor="process", workers=MIN_WORKERS
-        )
         daemon_report = engine.run_batch(
             queries, ALPHA, executor="daemon", workers=MIN_WORKERS
         )
-        assert _signatures(serial_report.answers) == _signatures(process_report.answers)
         assert _signatures(serial_report.answers) == _signatures(daemon_report.answers)
         if serial_report.throughput > 0:
-            speedup = max(speedup, process_report.throughput / serial_report.throughput)
             daemon_speedup = max(
                 daemon_speedup, daemon_report.throughput / serial_report.throughput
             )
@@ -124,23 +117,18 @@ def test_parallel_throughput(engine_and_queries):
         [
             f"throughput ({len(queries)} RBReach queries, alpha={ALPHA}, cores={cores}): "
             f"serial={serial_report.throughput:.0f} q/s "
-            f"process[{MIN_WORKERS}]={process_report.throughput:.0f} q/s "
             f"daemon[{MIN_WORKERS}]={daemon_report.throughput:.0f} q/s "
-            f"speedup={speedup:.2f}x daemon_speedup={daemon_speedup:.2f}x"
+            f"daemon_speedup={daemon_speedup:.2f}x"
         ]
     )
 
     if cores < MIN_WORKERS:
         pytest.skip(
-            f"only {cores} schedulable core(s): the >= {MIN_PARALLEL_SPEEDUP}x / "
+            f"only {cores} schedulable core(s): the >= {MIN_DAEMON_SPEEDUP}x / "
             f"{MIN_WORKERS}-worker throughput claim needs >= {MIN_WORKERS} cores "
             "(parity was still asserted above; BENCH_engine.json marks the "
             "speedup metrics 'skipped' on such runners)"
         )
-    assert speedup >= MIN_PARALLEL_SPEEDUP, (
-        f"process-pool speedup {speedup:.2f}x below the {MIN_PARALLEL_SPEEDUP}x target "
-        f"with {MIN_WORKERS} workers on {cores} cores"
-    )
     assert daemon_speedup >= MIN_DAEMON_SPEEDUP, (
         f"daemon-pool speedup {daemon_speedup:.2f}x below the {MIN_DAEMON_SPEEDUP}x target "
         f"with {MIN_WORKERS} warm workers on {cores} cores"

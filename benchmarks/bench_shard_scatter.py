@@ -7,11 +7,11 @@ Asserted:
 
 * **contract, always**: the sharded engine never answers a false positive
   (checked against the exact oracle), answers are identical across the
-  sharded executors (thread, process and the warm daemon pool), and
-  ``k = 1`` is bit-identical to the unsharded engine;
+  sharded executors (serial and the warm daemon pool), and ``k = 1`` is
+  bit-identical to the unsharded engine;
 * **cut quality, always**: the seeded greedy partitioner beats the hash
   baseline's edge cut on the clustered topology;
-* **throughput, on capable machines**: at ``k = 4`` with process-backed
+* **throughput, on capable machines**: at ``k = 4`` with daemon-backed
   shards the batch throughput must reach >= 2x the unsharded serial
   engine.  The claim combines two effects — shard-parallel evaluation and
   the smaller per-shard ``alpha``-budget share — but the parallel half
@@ -141,9 +141,6 @@ def measure_shard_scatter(seed: int = BENCH_SEED) -> dict:
 
     unsharded_report = best_of(lambda: unsharded.run_batch(queries, ALPHA))
     sharded_serial = best_of(lambda: sharded.run_batch(queries, ALPHA))
-    sharded_process = best_of(
-        lambda: sharded.run_batch(queries, ALPHA, executor="process", workers=MIN_WORKERS)
-    )
     # Warm the daemon pool before timing: the first batch pays the one-off
     # spawn + shared-state publication, later batches reuse attached workers.
     sharded.run_batch(queries[:PARITY_QUERIES], ALPHA, executor="daemon", workers=MIN_WORKERS)
@@ -152,11 +149,6 @@ def measure_shard_scatter(seed: int = BENCH_SEED) -> dict:
     )
     sharded.close()  # release the daemon pool + shared segments
     speedup = (
-        sharded_process.throughput / unsharded_report.throughput
-        if unsharded_report.throughput > 0
-        else 0.0
-    )
-    daemon_speedup = (
         sharded_daemon.throughput / unsharded_report.throughput
         if unsharded_report.throughput > 0
         else 0.0
@@ -181,11 +173,9 @@ def measure_shard_scatter(seed: int = BENCH_SEED) -> dict:
         "spillover_fraction": round(sharded_serial.spillover_fraction, 3),
         "unsharded_qps": round(unsharded_report.throughput, 1),
         "sharded_serial_qps": round(sharded_serial.throughput, 1),
-        "sharded_process_qps": round(sharded_process.throughput, 1),
         "sharded_daemon_qps": round(sharded_daemon.throughput, 1),
         "sharded_serial_speedup": round(serial_speedup, 3),
         "shard_speedup": round(speedup, 3),
-        "daemon_speedup": round(daemon_speedup, 3),
         "k1_parity": k1_parity,
         "no_false_positives": int(false_positives == 0),
         "false_positives": false_positives,
@@ -227,19 +217,19 @@ def test_sharded_executor_parity():
     ]
     with ShardedEngine(graph, num_shards=NUM_SHARDS, seed=BENCH_SEED) as engine:
         serial = _signatures(engine.answer_batch(queries, ALPHA))
-        for executor in ("thread", "process", "daemon"):
-            for workers in (2, MIN_WORKERS):
-                answers = engine.answer_batch(queries, ALPHA, executor=executor, workers=workers)
-                assert _signatures(answers) == serial, (
-                    f"{executor} executor with {workers} workers diverged from serial"
-                )
-    _report(
-        [f"parity: serial == thread == process == daemon on {len(queries)} queries (2/4 workers)"]
-    )
+        for workers in (2, MIN_WORKERS):
+            answers = engine.answer_batch(queries, ALPHA, executor="daemon", workers=workers)
+            assert _signatures(answers) == serial, (
+                f"daemon executor with {workers} workers diverged from serial"
+            )
+            # The pool fixes its size on first use: close it so the next
+            # worker count gets a pool (and chunking) of its own.
+            engine.close()
+    _report([f"parity: serial == daemon on {len(queries)} queries (2/4 workers)"])
 
 
 def test_scatter_gather_throughput(metrics):
-    """>= 2x batch throughput at k=4 with process-backed shards (>= 4 cores)."""
+    """>= 2x batch throughput at k=4 with daemon-backed shards (>= 4 cores)."""
     cores = metrics["cores"]
     _report(
         [
@@ -247,10 +237,8 @@ def test_scatter_gather_throughput(metrics):
             f"same-shard={metrics['same_shard_fraction']:.0%}): "
             f"unsharded={metrics['unsharded_qps']:.0f} q/s "
             f"sharded-serial={metrics['sharded_serial_qps']:.0f} q/s "
-            f"sharded-process[{MIN_WORKERS}]={metrics['sharded_process_qps']:.0f} q/s "
             f"sharded-daemon[{MIN_WORKERS}]={metrics['sharded_daemon_qps']:.0f} q/s "
             f"speedup={metrics['shard_speedup']:.2f}x "
-            f"daemon_speedup={metrics['daemon_speedup']:.2f}x "
             f"(cut: greedy={metrics['greedy_cut_fraction']:.1%} "
             f"hash={metrics['hash_cut_fraction']:.1%})"
         ]
@@ -263,6 +251,6 @@ def test_scatter_gather_throughput(metrics):
             "BENCH_shard.json marks the speedup metrics 'skipped' on such runners)"
         )
     assert metrics["shard_speedup"] >= MIN_SHARD_SPEEDUP, (
-        f"sharded process throughput only {metrics['shard_speedup']:.2f}x the "
+        f"sharded daemon throughput only {metrics['shard_speedup']:.2f}x the "
         f"unsharded serial engine at k={NUM_SHARDS} on {cores} cores"
     )

@@ -351,89 +351,90 @@ def _command_batch(args) -> int:
             graph, args.kind, args.count, args.shape, args.seed
         )
 
-    service = GraphService(graph, config)
-    started = time.perf_counter()
-    service.prepare(**_prepare_kwargs(args.kind, alpha))
-    prepare_seconds = time.perf_counter() - started
+    # The context manager stops any daemons the batch started.
+    with GraphService(graph, config) as service:
+        started = time.perf_counter()
+        service.prepare(**_prepare_kwargs(args.kind, alpha))
+        prepare_seconds = time.perf_counter() - started
 
-    print(
-        f"batch: kind={args.kind} dataset={args.dataset} n={len(requests)} alpha={alpha} "
-        f"executor={config.executor} workers={config.workers or 'auto'}"
-    )
-    print(f"engine: backend={service.backend} prepare={prepare_seconds:.3f}s (once per graph)")
-
-    runs = []
-    answers = None
-    plan = None
-    for run_number in range(1, max(1, args.repeat) + 1):
-        report = service.run_batch(requests)
-        answers = report.answers
-        plan = report.plan
-        runs.append(report)
         print(
-            f"run {run_number}: wall={report.wall_seconds:.3f}s "
-            f"throughput={report.throughput:.1f} q/s "
-            f"cache hits={report.cache_hits} misses={report.cache_misses} "
-            f"chunks={report.chunks}"
+            f"batch: kind={args.kind} dataset={args.dataset} n={len(requests)} alpha={alpha} "
+            f"executor={config.executor} workers={config.workers or 'auto'}"
         )
-    print(f"plan: backend={plan.backend} executor={plan.executor} ({plan.reason})")
+        print(f"engine: backend={service.backend} prepare={prepare_seconds:.3f}s (once per graph)")
 
-    payload = {
-        "dataset": args.dataset,
-        "kind": args.kind,
-        "alpha": alpha,
-        "executor": config.executor,
-        "workers": config.workers,
-        "backend": service.backend,
-        "plan_backend": plan.backend,
-        "plan_executor": plan.executor,
-        "num_queries": len(requests),
-        "prepare_seconds": prepare_seconds,
-        "runs": [
-            {
-                "wall_seconds": report.wall_seconds,
-                "throughput_qps": report.throughput,
-                "cache_hits": report.cache_hits,
-                "cache_misses": report.cache_misses,
-            }
-            for report in runs
-        ],
-    }
-
-    if truth is not None:
-        summary = accuracy_summary(pairs, answers, truth)
-        payload["accuracy_f_measure"] = summary["accuracy_f_measure"]
-        print_accuracy(summary)
-
-    exit_code = 0
-    if args.compare_serial:
-        if plan.executor == "serial":
+        runs = []
+        answers = None
+        plan = None
+        for run_number in range(1, max(1, args.repeat) + 1):
+            report = service.run_batch(requests)
+            answers = report.answers
+            plan = report.plan
+            runs.append(report)
             print(
-                "note: --compare-serial skipped — the planned executor already "
-                "is the serial reference path",
-                file=sys.stderr,
+                f"run {run_number}: wall={report.wall_seconds:.3f}s "
+                f"throughput={report.throughput:.1f} q/s "
+                f"cache hits={report.cache_hits} misses={report.cache_misses} "
+                f"chunks={report.chunks}"
             )
-        else:
-            engine = service.engine
-            engine.clear_cache()
-            serial_report = engine.run_batch(
-                [request.to_query() for request in requests], alpha, executor="serial"
-            )
-            identical = answers_identical(args.kind, answers, serial_report.answers)
-            speedup = (
-                serial_report.wall_seconds / runs[0].wall_seconds
-                if runs[0].wall_seconds > 0
-                else 0.0
-            )
-            payload["serial_wall_seconds"] = serial_report.wall_seconds
-            payload["parallel_speedup"] = speedup
-            payload["parity"] = identical
-            print(
-                f"parity vs serial: {'identical answers' if identical else 'MISMATCH'}; "
-                f"speedup {speedup:.2f}x"
-            )
-            if not identical:
-                exit_code = 1  # still write the report: it documents the mismatch
+        print(f"plan: backend={plan.backend} executor={plan.executor} ({plan.reason})")
+
+        payload = {
+            "dataset": args.dataset,
+            "kind": args.kind,
+            "alpha": alpha,
+            "executor": config.executor,
+            "workers": config.workers,
+            "backend": service.backend,
+            "plan_backend": plan.backend,
+            "plan_executor": plan.executor,
+            "num_queries": len(requests),
+            "prepare_seconds": prepare_seconds,
+            "runs": [
+                {
+                    "wall_seconds": report.wall_seconds,
+                    "throughput_qps": report.throughput,
+                    "cache_hits": report.cache_hits,
+                    "cache_misses": report.cache_misses,
+                }
+                for report in runs
+            ],
+        }
+
+        if truth is not None:
+            summary = accuracy_summary(pairs, answers, truth)
+            payload["accuracy_f_measure"] = summary["accuracy_f_measure"]
+            print_accuracy(summary)
+
+        exit_code = 0
+        if args.compare_serial:
+            if plan.executor == "serial":
+                print(
+                    "note: --compare-serial skipped — the planned executor already "
+                    "is the serial reference path",
+                    file=sys.stderr,
+                )
+            else:
+                engine = service.engine
+                engine.clear_cache()
+                serial_report = engine.run_batch(
+                    [request.to_query() for request in requests], alpha, executor="serial"
+                )
+                identical = answers_identical(args.kind, answers, serial_report.answers)
+                speedup = (
+                    serial_report.wall_seconds / runs[0].wall_seconds
+                    if runs[0].wall_seconds > 0
+                    else 0.0
+                )
+                payload["serial_wall_seconds"] = serial_report.wall_seconds
+                payload["parallel_speedup"] = speedup
+                payload["parity"] = identical
+                print(
+                    f"parity vs serial: {'identical answers' if identical else 'MISMATCH'}; "
+                    f"speedup {speedup:.2f}x"
+                )
+                if not identical:
+                    exit_code = 1  # still write the report: it documents the mismatch
 
     write_json_report(args.output, payload)
     return exit_code

@@ -10,8 +10,8 @@ Section 1).  It separates the two phases the paper keeps distinct:
 * **answer** (:mod:`repro.engine.engine`) — batches of
   :class:`~repro.engine.queries.ReachQuery` /
   :class:`~repro.engine.queries.PatternQuery` objects flow through a
-  pluggable executor (:mod:`repro.engine.executors`: serial, thread pool,
-  process pool, warm daemon pool) behind an LRU answer cache
+  pluggable executor (:mod:`repro.engine.executors`: serial or the warm
+  daemon pool) behind an LRU answer cache
   (:mod:`repro.engine.cache`) keyed on ``(query fingerprint, α)``.
 
 Parallel state ships through a zero-copy shared-memory tier
@@ -44,9 +44,7 @@ from repro.engine.invalidation import (
 from repro.engine.executors import (
     EXECUTORS,
     DaemonExecutor,
-    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from repro.engine.prepared import PreparedGraph, SharedPreparedGraph, UpdateSummary, publish_state
@@ -62,12 +60,10 @@ __all__ = [
     "InvalidationDecision",
     "PatternQuery",
     "PreparedGraph",
-    "ProcessExecutor",
     "QueryEngine",
     "ReachQuery",
     "SerialExecutor",
     "SharedPreparedGraph",
-    "ThreadExecutor",
     "UpdateReport",
     "UpdateSummary",
     "anchor_of",

@@ -1,9 +1,8 @@
 """Persistent worker daemons: a warm process pool that owns attached state.
 
-The per-batch :class:`~repro.engine.executors.ProcessExecutor` pays pool
-startup plus state shipping on *every* batch, which is why the committed
-baselines showed process parallelism losing to serial.  A
-:class:`DaemonPool` starts its workers once and keeps them warm: each
+A per-batch process pool would pay pool startup plus state shipping on
+*every* batch.  A :class:`DaemonPool` starts its workers once and keeps
+them warm: each
 daemon attaches the engine's published
 :class:`~repro.engine.prepared.SharedPreparedGraph` — CSR arrays as
 zero-copy shared-memory views, derived indexes unpickled once per publish —
@@ -30,14 +29,20 @@ Lifecycle guarantees (crash-tested in ``tests/test_daemons.py``):
   outlive the interpreter.
 
 Answers are bit-identical to serial: daemons run the same pure chunk
-functions over the same chunking as every other executor, against state
+functions over the same chunking as the serial executor, against state
 that attaches to the same arrays the parent serves from.
+
+Cross-process determinism note: ``fork`` children inherit the parent's hash
+seed, so any iteration order the algorithms derive from Python hashing is
+identical in the workers.  The pool therefore prefers ``fork`` and only
+falls back to the platform default elsewhere.
 """
 
 from __future__ import annotations
 
 import atexit
 import itertools
+import multiprocessing
 import os
 import threading
 import time
@@ -48,7 +53,7 @@ from multiprocessing import connection
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.engine.executors import _process_context, answer_chunk, default_workers
+from repro.engine.executors import answer_chunk, default_workers
 from repro.engine.prepared import SharedPreparedGraph, publish_state
 from repro.exceptions import DaemonError
 
@@ -70,6 +75,23 @@ def _close_leaked_pools() -> None:  # pragma: no cover - interpreter exit
 
 
 atexit.register(_close_leaked_pools)
+
+
+def _process_context():
+    """Prefer ``fork`` (cheap worker startup, inherited hash seed).
+
+    ``REPRO_MP_START_METHOD`` overrides the choice (``fork``/``spawn``/
+    ``forkserver``) — used by tests to exercise the non-fork path on Linux,
+    and available as an escape hatch on platforms where forking a threaded
+    parent misbehaves.
+    """
+    override = os.environ.get("REPRO_MP_START_METHOD")
+    if override:
+        return multiprocessing.get_context(override)
+    try:
+        return multiprocessing.get_context("fork")
+    except ValueError:  # pragma: no cover - non-POSIX platforms
+        return multiprocessing.get_context()
 
 
 def _daemon_main(conn: Any, metrics_enabled: bool = True) -> None:  # pragma: no cover - runs in worker processes

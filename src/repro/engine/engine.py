@@ -8,7 +8,7 @@ pushes every batch through a pluggable executor:
 * preparation — CSR mirror, SCC condensation, per-α landmark index,
   neighbourhood summaries — happens once, in the parent process;
 * answering fans the batch out as ``(kind, alpha, chunk)`` tasks over the
-  chosen executor (serial / thread pool / process pool);
+  chosen executor (serial, or the engine's warm daemon pool);
 * an LRU cache keyed on ``(query fingerprint, α)`` short-circuits repeats.
 
 **Parity contract**: for any executor and worker count, the answers are
@@ -374,11 +374,11 @@ class QueryEngine:
         # One-time preparation happens *outside* the timed window — wall
         # measures answering (probe + dispatch), so figure timings do not
         # depend on whether this batch happened to be the one that built an
-        # index or ran the offline summary pass for a process pool — and only
+        # index or ran the offline summary pass for the daemon pool — and only
         # for kinds that actually dispatch: a fully-warm batch spawns no pool
         # and must not pay an eager precompute either.
         for kind in sorted({query.kind for _, query, _ in pending}):
-            self._prepared.prepare(kind, alpha, eager=runner.name in ("process", "daemon"))
+            self._prepared.prepare(kind, alpha, eager=runner.name == "daemon")
 
         # The daemon executor routes to the engine's warm pool.  Binding
         # happens *after* the prepare loop so the version token reflects the

@@ -321,12 +321,12 @@ class PreparedGraph:
         worker receives finished state instead of rebuilding it: the build
         happens once in the parent, not once per worker.
 
-        ``eager=True`` (used before forking a process pool) additionally runs
-        the paper's once-for-all offline pass for pattern kinds —
-        ``NeighborhoodIndex.precompute()`` — because a lazily-filled summary
-        cache shipped at fork time would make every worker re-summarise the
-        nodes its chunks touch.  Serial and thread executors share the cache
-        in-process, so they keep the cheaper lazy fill.
+        ``eager=True`` (used before publishing to the daemon pool)
+        additionally runs the paper's once-for-all offline pass for pattern
+        kinds — ``NeighborhoodIndex.precompute()`` — because a lazily-filled
+        summary cache shipped to the workers would make every worker
+        re-summarise the nodes its chunks touch.  The serial executor shares
+        the cache in-process, so it keeps the cheaper lazy fill.
         """
         from repro.engine.queries import KINDS, REACH, SIMULATION
 
@@ -532,7 +532,7 @@ class PreparedGraph:
 
 
 # ----------------------------------------------------------------------- #
-# Shared-memory publication (daemon pools, spawn-start process pools)
+# Shared-memory publication (daemon pools)
 # ----------------------------------------------------------------------- #
 class _SubstitutingPickler(pickle.Pickler):
     """Pickler that swaps registered objects for persistent-id tokens.

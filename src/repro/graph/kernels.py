@@ -16,7 +16,7 @@ column (tiled in blocks of :data:`TILE_SOURCES` beyond that), and a single
 level-synchronous sweep advances *all* of them at once — per-level work is a
 handful of numpy gathers instead of one Python-driven BFS per source.  The
 ``stop`` parameter gives the absorption semantics of
-:meth:`~repro.graph.csr.CSRGraph.reach_mask` (absorbing nodes are recorded
+:func:`csr_reach_mask` (absorbing nodes are recorded
 when reached but never expanded *through*), which is what the RBReach
 out-of-index label sweep and the cover statistics need to run batched.
 

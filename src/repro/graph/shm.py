@@ -1,8 +1,8 @@
 """Shared-memory segments for :class:`~repro.graph.csr.CSRGraph` arrays.
 
-The parallel executors ship multi-hundred-megabyte prepared state to worker
-processes; pickling it per worker (or re-materialising it per batch) is the
-reason the committed baselines showed process pools *losing* to serial.
+The daemon pool ships multi-hundred-megabyte prepared state to worker
+processes; pickling it per worker (or re-materialising it per batch) would
+cost more than the batches it serves.
 This module puts the flat CSR arrays — ``succ_indptr``/``succ_indices``,
 ``pred_indptr``/``pred_indices``, ``label_ids``, ``degrees`` — into one
 ``multiprocessing.shared_memory`` segment so any number of worker processes

@@ -8,7 +8,7 @@ pid even though they inherit the counter.
 
 :class:`TraceContext` is the propagable half: an immutable
 ``(trace_id, span_id)`` pair that pickles small and rides daemon pipe
-messages, process-pool task payloads and shard sub-batches.  A worker
+messages and shard sub-batches.  A worker
 :func:`activate`\\ s the received context, so spans it opens parent under
 the dispatching span in another process — that is the whole cross-process
 linkage mechanism.
@@ -120,9 +120,8 @@ def exit_frame() -> None:
 def activate(ctx: Optional[TraceContext]) -> Iterator[None]:
     """Adopt a remote context as this thread's parent for the duration.
 
-    Used on the receiving side of every boundary: daemon workers,
-    process-pool workers and thread-pool threads activate the dispatched
-    context before running their chunk.
+    Used on the receiving side of every boundary: daemon workers activate
+    the dispatched context before running their chunk.
     """
     previous = getattr(_state, "base", None)
     _state.base = ctx

@@ -102,8 +102,8 @@ class FlightRecorder:
     """Trace collector assembling records into bounded recent/slow rings.
 
     Callable — an instance *is* a ``trace`` collector.  Thread-safe: spans
-    arrive from the service thread, thread-pool workers and the daemon
-    pool's reply loop concurrently.
+    arrive from the service thread, the async front-end's worker thread
+    and the daemon pool's reply loop concurrently.
     """
 
     def __init__(

@@ -55,14 +55,7 @@ class ServiceConfig:
     executor / workers:
         ``auto`` lets the planner choose the executor per batch from the
         batch size and the schedulable core count; naming an executor
-        (``serial`` / ``thread`` / ``process`` / ``daemon``) forces it for
-        every batch.
-    use_daemons:
-        Whether the planner's ``auto`` parallel route targets the warm
-        daemon pool (the default — pool startup and state shipping amortise
-        across batches) or the per-batch process pool (``False``; for
-        one-shot workloads, or when long-lived worker processes are
-        unwanted).  Ignored when ``executor`` names an executor explicitly.
+        (``serial`` / ``daemon``) forces it for every batch.
     num_shards / shard_method / halo_depth / shard_policy:
         ``num_shards > 1`` serves through a lazily-built
         :class:`~repro.shard.ShardedEngine` under ``shard_policy``
@@ -98,7 +91,6 @@ class ServiceConfig:
     alpha: float = 0.02
     executor: str = AUTO
     workers: Optional[int] = None
-    use_daemons: bool = True
     num_shards: int = 1
     shard_method: str = GREEDY
     halo_depth: int = DEFAULT_HALO_DEPTH
@@ -217,15 +209,6 @@ def service_flag_parent() -> argparse.ArgumentParser:
         type=_workers_flag,
         default=defaults.workers,
         help="worker count for parallel executors (default: all schedulable cores)",
-    )
-    parent.add_argument(
-        "--no-daemons",
-        dest="use_daemons",
-        action="store_const",
-        const=False,
-        default=None,
-        help="make the auto planner use per-batch process pools instead of "
-        "the warm daemon pool (answers are identical either way)",
     )
     parent.add_argument(
         "--metrics-json",

@@ -4,8 +4,8 @@ The façade serves three execution paths that previous PRs exposed as
 separate entry points:
 
 * the **serial** single-graph path (the reference semantics);
-* the **parallel** :class:`~repro.engine.QueryEngine` executors (thread /
-  process pools, bit-identical to serial by the PR 2 parity contract);
+* the **parallel** :class:`~repro.engine.QueryEngine` daemon pool (warm
+  worker processes, bit-identical to serial by the PR 2 parity contract);
 * the **sharded** :class:`~repro.shard.ShardedEngine` (PR 4), used under
   the containment rule that keeps bit-parity.
 
@@ -43,8 +43,7 @@ BACKENDS = (SERIAL, PARALLEL, SHARDED)
 
 MIN_PARALLEL_CORES = 4
 """Auto mode only reaches for a worker pool with this many schedulable
-cores: below it, pool startup and IPC eat the win (the engine benchmark
-measures the process pool *losing* to serial on 1–2 core runners), and the
+cores: below it, worker IPC eats the win on 1–2 core runners, and the
 planner's contract is to never be slower than the naive serial default."""
 
 PATCH = "patch"
@@ -129,17 +128,11 @@ class Planner:
                 f"{config.parallel_threshold}, pool startup would dominate",
             )
         workers = config.workers or cores
-        # Prefer the warm daemon pool: it amortises pool startup and state
-        # shipping across batches, so everything the per-batch process pool
-        # wins, it wins by more.  ``use_daemons=False`` restores the
-        # per-batch pool (for one-shot workloads that would never reuse the
-        # daemons, or when long-lived worker processes are unwanted).
-        executor = "daemon" if config.use_daemons else "process"
         return (
-            executor,
+            "daemon",
             workers,
             f"auto: batch of {num_queries} on a size-{graph_size} graph, "
-            f"{workers} {executor} workers",
+            f"{workers} daemon workers",
         )
 
     def plan_batch(

@@ -372,7 +372,7 @@ class GraphService:
 
         Every subsequent batch gets a ``trace_id`` on its report; completed
         timelines (including worker-side spans shipped back over the daemon
-        and process pools) are retrievable via :meth:`trace_timeline`,
+        pool) are retrievable via :meth:`trace_timeline`,
         :meth:`recent_traces`, :meth:`slow_traces` and
         :meth:`trace_for_percentile` until evicted.
         """

@@ -26,8 +26,8 @@ always at ``k = 1`` — answers are bit-identical to the single-graph
 :class:`~repro.engine.QueryEngine`, for every executor and worker count.
 
 Shards evaluate in parallel through the same executor registry the engine
-uses (serial / thread / process); the per-shard prepared state ships to
-worker processes once per worker via the pool initializer, exactly like the
+uses (serial / daemon); the per-shard prepared state is published to the
+shard engine's daemon pool once per state version, exactly like the
 single-graph path.
 
 Updates route to the owning shards: a delta confined to one shard's core
@@ -450,7 +450,7 @@ class ShardedEngine:
         multi = self.num_shards > 1
         if multi and (reach_items or probe_items):
             self.boundary  # built before states are assembled and shipped
-        eager = runner.name in ("process", "daemon")
+        eager = runner.name == "daemon"
         for shard_id in set(reach_items) | set(probe_items):
             self.shards[shard_id].prepared.prepare(REACH, alpha)
         for shard_id, kind in pattern_items:

@@ -12,9 +12,10 @@ Crash-injection contract:
 * the async service front-end releases admission on a daemon failure and
   remains reusable.
 
-Plus the non-fork shipping path: under ``spawn`` the process executor must
-publish state to shared memory instead of pickling it per worker
-(``REPRO_MP_START_METHOD`` forces the start method for the test).
+Plus the non-fork shipping path: under ``spawn`` the daemon pool must
+publish state to shared memory instead of pickling it per worker, and
+unlink every segment on close (``REPRO_MP_START_METHOD`` forces the start
+method for the test).
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import time
 import pytest
 
 from repro.engine import QueryEngine
-from repro.engine.daemons import MAX_TASK_RETRIES, DaemonPool
-from repro.engine.executors import DaemonExecutor, _process_context, make_executor
+from repro.engine.daemons import MAX_TASK_RETRIES, DaemonPool, _process_context
+from repro.engine.executors import DaemonExecutor, make_executor
 from repro.engine.queries import ReachQuery
 from repro.exceptions import DaemonError, EngineError
 from repro.graph.generators import random_graph
@@ -230,12 +231,15 @@ class TestSpawnShipping:
         monkeypatch.delenv("REPRO_MP_START_METHOD")
         assert _process_context().get_start_method() in ("fork", "spawn", "forkserver")
 
-    def test_process_executor_parity_under_spawn(self, graph, queries, monkeypatch):
-        """Non-fork start methods attach shared state instead of pickling it."""
+    def test_daemon_executor_parity_under_spawn(self, graph, queries, monkeypatch):
+        """Spawned daemons attach shared state instead of unpickling a copy."""
         monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
-        engine = QueryEngine(graph, cache_size=0)
-        serial = engine.answer_batch(queries, ALPHA)
-        spawned = engine.answer_batch(queries, ALPHA, executor="process", workers=2)
+        with QueryEngine(graph, cache_size=0) as engine:
+            serial = engine.answer_batch(queries, ALPHA)
+            spawned = engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
+            pool = engine.daemon_pool()
+            assert pool._context.get_start_method() == "spawn"
+            assert pool.segment_names()  # the state crossed via shared memory
         assert [a.reachable for a in spawned] == [a.reachable for a in serial]
 
     def test_spawn_run_leaves_no_segments(self, graph, queries, monkeypatch):
@@ -243,8 +247,8 @@ class TestSpawnShipping:
 
         monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
         before = set(active_segments())
-        engine = QueryEngine(graph, cache_size=0)
-        engine.answer_batch(queries, ALPHA, executor="process", workers=2)
+        with QueryEngine(graph, cache_size=0) as engine:
+            engine.answer_batch(queries, ALPHA, executor="daemon", workers=2)
         assert set(active_segments()) == before
 
 

@@ -5,7 +5,7 @@ routed through explicit ``random.Random(seed)`` instances — never the
 module-level ``random`` state — so two same-seed workloads are identical
 across runs, machines and worker processes.  These tests pin that down,
 including the cross-process stability of query fingerprints under different
-hash-randomisation seeds (which the engine's cache and process pools rely
+hash-randomisation seeds (which the engine's cache and daemon pool rely
 on).
 """
 

@@ -116,7 +116,7 @@ class TestConstruction:
 
 
 class TestExecutorParity:
-    @pytest.mark.parametrize("executor", ["thread", "process", "daemon"])
+    @pytest.mark.parametrize("executor", ["daemon"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_reach_parity(self, served_graph, reach_queries, executor, workers):
         with QueryEngine(served_graph, cache_size=0) as engine:
@@ -126,7 +126,7 @@ class TestExecutorParity:
             )
         assert [_reach_signature(a) for a in serial] == [_reach_signature(a) for a in parallel]
 
-    @pytest.mark.parametrize("executor", ["thread", "process", "daemon"])
+    @pytest.mark.parametrize("executor", ["daemon"])
     def test_pattern_parity(self, served_graph, pattern_queries, executor):
         with QueryEngine(served_graph, cache_size=0) as engine:
             serial = engine.answer_batch(pattern_queries, ALPHA)
@@ -157,12 +157,12 @@ class TestExecutorParity:
             ]
 
     def test_mixed_kind_batch_parity(self, served_graph, reach_queries, pattern_queries):
-        engine = QueryEngine(served_graph, cache_size=0)
         batch = list(reach_queries[:10]) + list(pattern_queries) + list(reach_queries[10:20])
-        serial = engine.answer_batch(batch, ALPHA)
-        threaded = engine.answer_batch(batch, ALPHA, executor="thread", workers=3)
+        with QueryEngine(served_graph, cache_size=0) as engine:
+            serial = engine.answer_batch(batch, ALPHA)
+            parallel = engine.answer_batch(batch, ALPHA, executor="daemon", workers=3)
         assert len(serial) == len(batch)
-        for query, left, right in zip(batch, serial, threaded):
+        for query, left, right in zip(batch, serial, parallel):
             if isinstance(query, ReachQuery):
                 assert _reach_signature(left) == _reach_signature(right)
             else:
@@ -177,6 +177,14 @@ class TestExecutorParity:
         with pytest.raises(EngineError):
             make_executor("fleet")
 
+    @pytest.mark.parametrize("retired", ["thread", "process"])
+    def test_retired_executor_names_fail_loudly(self, served_graph, reach_queries, retired):
+        """The removed executors raise; nothing falls back to another path."""
+        with pytest.raises(EngineError, match="unknown executor"):
+            make_executor(retired)
+        with pytest.raises(EngineError, match="unknown executor"):
+            QueryEngine(served_graph).answer_batch(reach_queries, ALPHA, executor=retired)
+
     @settings(
         max_examples=15,
         deadline=None,
@@ -188,13 +196,13 @@ class TestExecutorParity:
         alpha=st.sampled_from([0.01, 0.05, 0.2]),
     )
     def test_parity_property(self, served_graph, indices, workers, alpha):
-        """Serial and threaded answers agree for arbitrary batches/worker counts."""
+        """Serial and daemon answers agree for arbitrary batches/worker counts."""
         pairs = list(zip(indices, indices[1:]))
         queries = [ReachQuery(source, target) for source, target in pairs]
-        engine = QueryEngine(served_graph, cache_size=0)
-        serial = engine.answer_batch(queries, alpha)
-        threaded = engine.answer_batch(queries, alpha, executor="thread", workers=workers)
-        assert [_reach_signature(a) for a in serial] == [_reach_signature(a) for a in threaded]
+        with QueryEngine(served_graph, cache_size=0) as engine:
+            serial = engine.answer_batch(queries, alpha)
+            parallel = engine.answer_batch(queries, alpha, executor="daemon", workers=workers)
+        assert [_reach_signature(a) for a in serial] == [_reach_signature(a) for a in parallel]
 
 
 class TestCache:
@@ -301,14 +309,14 @@ class TestFingerprints:
 
 class TestReportAndConvenience:
     def test_report_telemetry(self, served_graph, reach_queries):
-        engine = QueryEngine(served_graph)
-        report = engine.run_batch(reach_queries, ALPHA, executor="thread", workers=2)
-        assert report.executor == "thread" and report.workers == 2
+        with QueryEngine(served_graph) as engine:
+            report = engine.run_batch(reach_queries, ALPHA, executor="daemon", workers=2)
+            # The composition describes the batch even when fully cache-served.
+            warm = engine.run_batch(reach_queries, ALPHA)
+        assert report.executor == "daemon" and report.workers == 2
         assert report.wall_seconds > 0 and report.throughput > 0
         assert report.kinds == {"reach": len(reach_queries)}
         assert report.chunks >= 1
-        # The composition describes the batch even when fully cache-served.
-        warm = engine.run_batch(reach_queries, ALPHA)
         assert warm.kinds == {"reach": len(reach_queries)}
         assert warm.chunks == 0
 
@@ -377,7 +385,7 @@ class TestCliBatch:
         assert "throughput" in out
         assert "cache hits=20" in out  # second run served from the LRU cache
 
-    def test_batch_thread_executor_with_compare(self, capsys):
+    def test_batch_daemon_executor_with_compare(self, capsys):
         from repro.cli import main
 
         assert (
@@ -387,7 +395,7 @@ class TestCliBatch:
                     "--count",
                     "15",
                     "--executor",
-                    "thread",
+                    "daemon",
                     "--workers",
                     "2",
                     "--compare-serial",
@@ -438,4 +446,4 @@ class TestCliBatch:
     def test_run_accepts_executor_flag(self):
         from repro.cli import main
 
-        assert main(["run", "fig8m", "--executor", "thread", "--workers", "2"]) == 0
+        assert main(["run", "fig8m", "--executor", "daemon", "--workers", "2"]) == 0

@@ -9,14 +9,13 @@ plain :class:`~repro.graph.digraph.DiGraph`.  That parity is pinned
 * across batch sizes that cross the 64-source word boundary and the
   tile boundary of the multi-source sweep,
 * with and without absorbing (``stop``) frontiers, in both directions,
-* across every executor (serial/thread/process/daemon), and
+* across both executors (serial/daemon), and
 * across sharded engines with k ∈ {1, 2, 4}.
 
 Plus: the hybrid scalar/vector phases of ``csr_reach_mask`` are
 property-tested against each other on absorbing frontiers (hypothesis),
 dispatch bookkeeping (``kernel.batch_size`` / ``kernel.fallbacks``) is
-asserted, and the four deprecated per-source entry points must warn while
-still delegating correctly.
+asserted, and the traversal façade must stay free of deprecation warnings.
 """
 
 from __future__ import annotations
@@ -319,7 +318,7 @@ class TestExecutorParity:
             baseline = engine.run_batch(queries, ALPHA)
         return digraph, queries, [answer.reachable for answer in baseline.answers]
 
-    @pytest.mark.parametrize("executor", ("serial", "thread", "process", "daemon"))
+    @pytest.mark.parametrize("executor", ("serial", "daemon"))
     def test_every_executor_matches_serial(self, workload, executor):
         from repro.engine import QueryEngine
 
@@ -358,48 +357,16 @@ class TestShardedParity:
 
 
 class TestDeprecatedWrappers:
-    """The four per-source entry points: warn, but delegate bit-identically."""
+    """The per-source ``CSRGraph`` wrappers are gone; the façade stays quiet."""
 
     @pytest.fixture(scope="class")
     def graphs(self):
         digraph = random_graph(150, 600, seed=37)
         return digraph, CSRGraph.from_digraph(digraph)
 
-    def _warns_and_returns(self, call):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = call()
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        return result
-
-    def test_reach_mask_warns_and_delegates(self, graphs):
-        _, csr = graphs
-        deprecated = self._warns_and_returns(lambda: csr.reach_mask(0))
-        assert np.array_equal(deprecated, csr_reach_mask(csr, 0))
-
-    def test_fast_reachable_set_warns_and_delegates(self, graphs):
-        digraph, csr = graphs
-        node = next(iter(digraph.nodes()))
-        deprecated = self._warns_and_returns(lambda: csr.fast_reachable_set(node))
-        assert deprecated == traverse(csr, "reachable_set", node, forward=True)
-
-    def test_fast_is_reachable_warns_and_delegates(self, graphs):
-        digraph, csr = graphs
-        nodes = list(digraph.nodes())
-        deprecated = self._warns_and_returns(
-            lambda: csr.fast_is_reachable(nodes[0], nodes[-1])
-        )
-        assert deprecated == traverse(csr, "is_reachable", nodes[0], nodes[-1])
-
-    def test_bfs_distances_warns_and_delegates(self, graphs):
-        digraph, csr = graphs
-        node = next(iter(digraph.nodes()))
-        deprecated = self._warns_and_returns(lambda: csr.bfs_distances(node, max_hops=4))
-        assert deprecated == traverse(csr, "bfs_levels", node, max_hops=4, direction="both")
-
     def test_traversal_facade_is_warning_free(self, graphs):
-        # The public traversal functions route around the deprecated
-        # methods; they must never trip the warnings themselves.
+        # The public traversal functions dispatch through the kernel
+        # registry and must never emit a DeprecationWarning.
         from repro.graph import traversal as tr
 
         digraph, csr = graphs

@@ -365,7 +365,7 @@ def _families():
     ]
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread", "daemon"])
+@pytest.mark.parametrize("executor", ["serial", "daemon"])
 @pytest.mark.parametrize("shards", [1, 2])
 def test_maintained_answers_match_fresh_engines_and_replayed_logs(executor, shards):
     for name, graph, mix in _families():

@@ -312,8 +312,9 @@ class TestRebuildEquivalence:
         assert updated == _reach_signature(fresh_substrate.answer_batch(reach_queries, ALPHA))
         fresh_digraph = QueryEngine(mutable, cache_size=0)
         assert updated == _reach_signature(fresh_digraph.answer_batch(reach_queries, ALPHA))
-        threaded = engine.answer_batch(reach_queries, ALPHA, executor="thread", workers=3)
-        assert updated == _reach_signature(threaded)
+        with engine:
+            parallel = engine.answer_batch(reach_queries, ALPHA, executor="daemon", workers=3)
+        assert updated == _reach_signature(parallel)
 
     def test_node_removals_take_rebuild_path_and_stay_equivalent(self, served_graph, reach_queries):
         engine = QueryEngine(served_graph, cache_size=0)
@@ -341,16 +342,19 @@ class TestRebuildEquivalence:
             QueryEngine(mutable, cache_size=0).answer_batch(reach_queries, ALPHA)
         )
 
-    def test_process_executor_sees_updated_state(self, served_graph, reach_queries):
+    def test_daemon_executor_sees_updated_state(self, served_graph, reach_queries):
         engine = QueryEngine(served_graph, cache_size=0)
         engine.answer_batch(reach_queries, ALPHA)
         mutable = served_graph.copy()
         delta = _random_delta(random.Random(11), mutable, ops=10)
         delta.apply_to(mutable)
         engine.update(delta)
-        via_process = engine.answer_batch(reach_queries, ALPHA, executor="process", workers=2)
+        # The pool starts after the update: its first publication must
+        # already carry the patched state.
+        with engine:
+            via_daemon = engine.answer_batch(reach_queries, ALPHA, executor="daemon", workers=2)
         fresh = QueryEngine(mutable, cache_size=0)
-        assert _reach_signature(via_process) == _reach_signature(
+        assert _reach_signature(via_daemon) == _reach_signature(
             fresh.answer_batch(reach_queries, ALPHA)
         )
 

@@ -3,8 +3,8 @@
 
 Runs eight quick smoke suites and writes one JSON report each:
 
-* ``BENCH_engine.json`` — the batched query engine: serial vs process-pool
-  vs warm-daemon-pool throughput on an RBReach batch, the daemon-backed
+* ``BENCH_engine.json`` — the batched query engine: serial vs
+  warm-daemon-pool throughput on an RBReach batch, the daemon-backed
   parallel speedup, LRU-cache behaviour;
 * ``BENCH_backend.json`` — DiGraph vs CSRGraph on the BFS-heavy traversal
   suite and the end-to-end RBReach experiment loop;
@@ -92,7 +92,7 @@ def _environment() -> dict:
 # Suites
 # --------------------------------------------------------------------------- #
 def engine_suite() -> dict:
-    """Serial vs process vs warm-daemon batched answering plus cache behaviour."""
+    """Serial vs warm-daemon batched answering plus cache behaviour."""
     from repro.engine import QueryEngine, ReachQuery
     from repro.workloads.datasets import load_dataset
     from repro.workloads.queries import sample_mixed_pairs
@@ -110,12 +110,6 @@ def engine_suite() -> dict:
 
     serial = engine.run_batch(queries, ENGINE_ALPHA)
     workers = min(4, max(2, _cores()))
-    process = engine.run_batch(queries, ENGINE_ALPHA, executor="process", workers=workers)
-    if [a.reachable for a in serial.answers] != [a.reachable for a in process.answers]:
-        raise SystemExit("engine suite: process executor diverged from serial answers")
-    process_speedup = (
-        process.throughput / serial.throughput if serial.throughput > 0 else 0.0
-    )
     # Warm the daemon pool first (one-off spawn + shared-state publication),
     # then time a steady-state batch: this is the path the auto planner
     # routes large batches through, so parallel_speedup is daemon-backed.
@@ -152,9 +146,6 @@ def engine_suite() -> dict:
             "prepare_seconds": round(prepare_seconds, 4),
             "serial_wall_seconds": round(serial.wall_seconds, 4),
             "serial_qps": round(serial.throughput, 1),
-            "process_wall_seconds": round(process.wall_seconds, 4),
-            "process_qps": round(process.throughput, 1),
-            "process_speedup": round(process_speedup, 3),
             "daemon_wall_seconds": round(daemon.wall_seconds, 4),
             "daemon_qps": round(daemon.throughput, 1),
             "daemon_speedup": round(daemon_speedup, 3),
@@ -166,8 +157,7 @@ def engine_suite() -> dict:
         # Relative metrics only: absolute q/s depends on the runner and is
         # informational.  parallel_speedup (the warm daemon pool — the auto
         # planner's parallel route) is gated against a conservative committed
-        # floor so faster CI runners only ever raise the bar; the per-batch
-        # process-pool speedup stays informational.
+        # floor so faster CI runners only ever raise the bar.
         "gates": {
             "parallel_speedup": "higher",
             "daemon_speedup": "higher",
@@ -336,19 +326,17 @@ def shard_suite() -> dict:
             "spillover_fraction": metrics["spillover_fraction"],
             "unsharded_qps": metrics["unsharded_qps"],
             "sharded_serial_qps": metrics["sharded_serial_qps"],
-            "sharded_process_qps": metrics["sharded_process_qps"],
             "sharded_daemon_qps": metrics["sharded_daemon_qps"],
             "sharded_serial_speedup": metrics["sharded_serial_speedup"],
             "shard_speedup": metrics["shard_speedup"],
-            "daemon_speedup": metrics["daemon_speedup"],
             "k1_parity": metrics["k1_parity"],
             "no_false_positives": metrics["no_false_positives"],
         },
         # The two 0/1 witnesses are hard correctness gates (any drop fails at
         # every tolerance); cut_improvement and the *serial* shard speedup
-        # are relative and runner-independent.  The process- and daemon-pool
-        # speedups are informational only — they depend on the runner's core
-        # count, which bench_shard_scatter gates separately (with a skip
+        # are relative and runner-independent.  The daemon-backed
+        # shard_speedup is informational only — it depends on the runner's
+        # core count, which bench_shard_scatter gates separately (with a skip
         # below 4 cores).
         "gates": {
             "no_false_positives": "higher",
@@ -363,7 +351,7 @@ def shard_suite() -> dict:
         reason = (
             "single-core" if metrics["cores"] == 1 else f"only {metrics['cores']} cores"
         )
-        report["skipped"] = {"shard_speedup": reason, "daemon_speedup": reason}
+        report["skipped"] = {"shard_speedup": reason}
     return report
 
 
